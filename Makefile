@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: all build test test-short race vet ci bench bench-json bench-smoke bench-agg bench-guard test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
+.PHONY: all build test test-short race vet fmt-check test-purego ci bench bench-json bench-smoke bench-agg bench-guard test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke clean
 
 # The substrate microbenchmarks tracked in BENCH_micro.json.
-MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkDecoderGenerate$$
+MICRO_BENCH = BenchmarkMatMul128$$|BenchmarkConvForward$$|BenchmarkConvBackward$$|BenchmarkClassifierTrainEpoch$$|BenchmarkCVAEStep$$|BenchmarkDecoderGenerate$$
 # The wire-layer microbenchmarks (raw vs codec framing and the per-round
 # byte cost), tracked in the same snapshot file.
 WIRE_BENCH = BenchmarkWireWriteUpdate$$|BenchmarkWireReadUpdate$$|BenchmarkRoundWireBytes$$
@@ -38,14 +38,26 @@ race:
 vet:
 	$(GO) vet ./...
 
-# ci is the gate for every change: static analysis, the short test suite
-# under the race detector (telemetry and fednet are concurrent), one
+# fmt-check fails when any Go file is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
+# test-purego runs the numeric stack with the assembly kernels compiled
+# out, holding the scalar fallback to the same golden hashes (decoder
+# payload, classifier weights, conv and Linear references) as the AVX
+# build.
+test-purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/opt ./internal/cvae ./internal/classifier
+
+# ci is the gate for every change: formatting, static analysis, the short
+# test suite under the race detector (telemetry and fednet are
+# concurrent), the numeric stack on the scalar fallback, one
 # iteration of every substrate microbenchmark so a broken kernel fails
 # fast even when its unit tests are skipped, the adversary-suite gate,
 # the fault-injection chaos suite, the lossless-codec stack, the
 # crash-recovery kill/resume drill, the distributed-tracing smoke run,
 # and bounded fuzz passes over the wire, codec, and checkpoint decoders.
-ci: vet race bench-smoke bench-guard test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
+ci: fmt-check vet race test-purego bench-smoke bench-guard test-attacks test-chaos test-codec test-resume trace-smoke fuzz-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -80,14 +92,14 @@ bench-json:
 # bench-guard re-measures the round-pipeline critical benchmarks and
 # fails if any exceed the ceilings committed in BENCH_guard.json — the
 # regression tripwire for the pooled frame writer, the codec fast paths,
-# the per-round checkpoint serialization cost, and the blocked
-# aggregation kernels. Ceilings are loose (≈2-3× the snapshot numbers)
-# so CI noise passes but a lost fast path or reintroduced per-op
-# allocation fails.
+# the per-round checkpoint serialization cost, the blocked aggregation
+# kernels, and the allocation-free CVAE training step. Ceilings are
+# loose (≈2-3× the snapshot numbers) so CI noise passes but a lost fast
+# path or reintroduced per-op allocation fails.
 bench-guard:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkWireWriteUpdate$$' -benchmem -benchtime=50x ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCheckpointWrite$$' -benchmem -benchtime=50x ./internal/persist/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$' -benchmem -benchtime=20x . ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkKrumScores$$|BenchmarkGeoMed$$|BenchmarkCoordinateMedian$$|BenchmarkServerApply$$|BenchmarkCVAEStep$$' -benchmem -benchtime=20x . ; } \
 		| $(GO) run ./cmd/benchjson -guard BENCH_guard.json
 
 # test-attacks is the adversary-suite gate: the attack unit tests, the

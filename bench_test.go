@@ -264,6 +264,8 @@ func BenchmarkCVAEStep(b *testing.B) {
 	train := dataset.Generate(32, dataset.DefaultGenOptions(), r)
 	x, labels := train.FlatBatch(dataset.Range(32))
 	optim := opt.NewAdam(model.Params(), 1e-3)
+	model.Step(x, labels, optim, r) // grow the step scratch first
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Step(x, labels, optim, r)

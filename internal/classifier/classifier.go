@@ -70,9 +70,11 @@ func Small() Arch {
 // classifier in milliseconds.
 func Tiny() Arch {
 	return func(r *rng.RNG) *nn.Sequential {
+		l1 := nn.NewLinear(dataset.ImageH*dataset.ImageW, 32, r)
+		l1.InputGradOff = true // first learnable layer: its input gradient is never consumed
 		return nn.NewSequential(
 			nn.NewFlatten(),
-			nn.NewLinear(dataset.ImageH*dataset.ImageW, 32, r),
+			l1,
 			nn.NewReLU(),
 			nn.NewLinear(32, 10, r),
 		)

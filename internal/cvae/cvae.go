@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"fedguard/internal/dataset"
 	"fedguard/internal/loss"
 	"fedguard/internal/nn"
 	"fedguard/internal/opt"
@@ -65,20 +66,32 @@ type CVAE struct {
 	muHead *nn.Linear
 	lvHead *nn.Linear
 	dec    *nn.Sequential // (B, decIn) -> (B, cond)
+	params []nn.Param     // Params(), fixed at construction
+
+	// Step scratch, grown on demand and reused across steps like the
+	// layers' own, so a steady-state step allocates nothing.
+	input      *tensor.Tensor // (B, cond) [image | one-hot] rows
+	eps, sigma *tensor.Tensor // (B, latent) reparameterization noise and scale
+	decIn      *tensor.Tensor // (B, decIn) [z | one-hot] rows
+	dOut       *tensor.Tensor // (B, cond) reconstruction gradient
+	dMu, dLv   *tensor.Tensor // (B, latent) head gradients
+	dh         *tensor.Tensor // (B, hidden) trunk gradient
+	labels     []int          // Train's batch labels
 }
 
 // New constructs a CVAE with weights initialized from r.
 func New(cfg Config, r *rng.RNG) *CVAE {
-	return &CVAE{
-		Cfg: cfg,
-		trunk: nn.NewSequential(
-			nn.NewLinear(cfg.cond(), cfg.Hidden, r),
-			nn.NewReLU(),
-		),
+	first := nn.NewLinear(cfg.cond(), cfg.Hidden, r)
+	first.InputGradOff = true // the image batch needs no gradient
+	m := &CVAE{
+		Cfg:    cfg,
+		trunk:  nn.NewSequential(first, nn.NewReLU()),
 		muHead: nn.NewLinear(cfg.Hidden, cfg.Latent, r),
 		lvHead: nn.NewLinear(cfg.Hidden, cfg.Latent, r),
 		dec:    newDecoderNet(cfg, r),
 	}
+	m.params = m.Params()
+	return m
 }
 
 func newDecoderNet(cfg Config, r *rng.RNG) *nn.Sequential {
@@ -111,85 +124,113 @@ func (m *CVAE) NumParams() int {
 }
 
 func (m *CVAE) zeroGrad() {
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		p.Grad.Zero()
 	}
 }
 
-// oneHotConcat builds (B, Input+Classes) rows of [x | onehot(label)].
-func (m *CVAE) oneHotConcat(x *tensor.Tensor, labels []int) *tensor.Tensor {
+// setInputRow writes row i of the input scratch as [img | onehot(label)].
+func (m *CVAE) setInputRow(i int, img []float32, label int) {
+	cfg := m.Cfg
+	if label < 0 || label >= cfg.Classes {
+		panic(fmt.Sprintf("cvae: label %d out of range", label))
+	}
+	row := m.input.Data[i*cfg.cond() : (i+1)*cfg.cond()]
+	copy(row[:cfg.Input], img)
+	clear(row[cfg.Input:])
+	row[cfg.Input+label] = 1
+}
+
+// loadInput fills the input scratch from a flat image batch x (B, Input).
+func (m *CVAE) loadInput(x *tensor.Tensor, labels []int) {
+	cfg := m.Cfg
+	if x.Dim(1) != cfg.Input {
+		panic(fmt.Sprintf("cvae: input width %d, want %d", x.Dim(1), cfg.Input))
+	}
 	b := x.Dim(0)
-	if x.Dim(1) != m.Cfg.Input {
-		panic(fmt.Sprintf("cvae: input width %d, want %d", x.Dim(1), m.Cfg.Input))
+	if len(labels) != b {
+		panic(fmt.Sprintf("cvae: %d labels for batch of %d", len(labels), b))
 	}
-	out := tensor.New(b, m.Cfg.cond())
+	m.input = tensor.Ensure(m.input, b, cfg.cond())
 	for i := 0; i < b; i++ {
-		row := out.Data[i*m.Cfg.cond():]
-		copy(row[:m.Cfg.Input], x.Data[i*m.Cfg.Input:(i+1)*m.Cfg.Input])
-		l := labels[i]
-		if l < 0 || l >= m.Cfg.Classes {
-			panic(fmt.Sprintf("cvae: label %d out of range", l))
-		}
-		row[m.Cfg.Input+l] = 1
+		m.setInputRow(i, x.Data[i*cfg.Input:(i+1)*cfg.Input], labels[i])
 	}
-	return out
+}
+
+// gather fills the input scratch and m.labels with the examples of ds
+// at batch, read straight from its storage.
+func (m *CVAE) gather(ds *dataset.Dataset, batch []int) {
+	sz := m.Cfg.Input
+	m.input = tensor.Ensure(m.input, len(batch), m.Cfg.cond())
+	m.labels = m.labels[:0]
+	for i, idx := range batch {
+		m.labels = append(m.labels, ds.Labels[idx])
+		m.setInputRow(i, ds.X[idx*sz:(idx+1)*sz], ds.Labels[idx])
+	}
 }
 
 // Step runs one training step on a flat image batch x (B, Input) with
 // labels, updating parameters through optim. It returns the batch ELBO
 // loss (reconstruction + KL).
 func (m *CVAE) Step(x *tensor.Tensor, labels []int, optim opt.Optimizer, r *rng.RNG) float64 {
-	b := x.Dim(0)
+	m.loadInput(x, labels)
+	return m.step(labels, optim, r)
+}
+
+// step trains on the rows already in the input scratch.
+func (m *CVAE) step(labels []int, optim opt.Optimizer, r *rng.RNG) float64 {
+	b := len(labels)
 	cfg := m.Cfg
 	m.zeroGrad()
 
-	input := m.oneHotConcat(x, labels)
-	h := m.trunk.Forward(input, true)
+	h := m.trunk.Forward(m.input, true)
 	mu := m.muHead.Forward(h, true)
 	logvar := m.lvHead.Forward(h, true)
 
-	// Reparameterization: z = mu + exp(logvar/2) * eps.
-	eps := tensor.New(b, cfg.Latent)
-	r.FillNormal(eps.Data, 0, 1)
-	sigma := tensor.New(b, cfg.Latent)
-	for i := range sigma.Data {
-		sigma.Data[i] = exp32(0.5 * logvar.Data[i])
-	}
-	z := tensor.New(b, cfg.Latent)
-	for i := range z.Data {
-		z.Data[i] = mu.Data[i] + sigma.Data[i]*eps.Data[i]
-	}
-
-	decIn := tensor.New(b, cfg.decIn())
+	// Reparameterization z = mu + exp(logvar/2) * eps, written straight
+	// into the decoder input rows beside the one-hot label.
+	m.eps = tensor.Ensure(m.eps, b, cfg.Latent)
+	m.sigma = tensor.Ensure(m.sigma, b, cfg.Latent)
+	m.decIn = tensor.Ensure(m.decIn, b, cfg.decIn())
+	r.FillNormal(m.eps.Data, 0, 1)
 	for i := 0; i < b; i++ {
-		row := decIn.Data[i*cfg.decIn():]
-		copy(row[:cfg.Latent], z.Data[i*cfg.Latent:(i+1)*cfg.Latent])
+		row := m.decIn.Data[i*cfg.decIn() : (i+1)*cfg.decIn()]
+		for j := 0; j < cfg.Latent; j++ {
+			k := i*cfg.Latent + j
+			sigma := exp32(0.5 * logvar.Data[k])
+			m.sigma.Data[k] = sigma
+			row[j] = mu.Data[k] + sigma*m.eps.Data[k]
+		}
+		clear(row[cfg.Latent:])
 		row[cfg.Latent+labels[i]] = 1
 	}
-	out := m.dec.Forward(decIn, true)
+	out := m.dec.Forward(m.decIn, true)
 
-	recon, dOut := loss.BinaryCrossEntropy(out, input)
-	kl, dMuKL, dLvKL := loss.GaussianKL(mu, logvar)
+	m.dOut = tensor.Ensure(m.dOut, b, cfg.cond())
+	recon := loss.BinaryCrossEntropyInto(m.dOut, out, m.input)
+	// The KL gradients land in dMu/dLv; the decoder's share is added
+	// below.
+	m.dMu = tensor.Ensure(m.dMu, b, cfg.Latent)
+	m.dLv = tensor.Ensure(m.dLv, b, cfg.Latent)
+	kl := loss.GaussianKLInto(m.dMu, m.dLv, mu, logvar)
 
 	// Backward through the decoder into z.
-	dDecIn := m.dec.Backward(dOut)
-	dMu := tensor.New(b, cfg.Latent)
-	dLv := tensor.New(b, cfg.Latent)
+	dDecIn := m.dec.Backward(m.dOut)
 	for i := 0; i < b; i++ {
 		src := dDecIn.Data[i*cfg.decIn():]
 		for j := 0; j < cfg.Latent; j++ {
 			dz := src[j]
 			k := i*cfg.Latent + j
-			dMu.Data[k] = dz + dMuKL.Data[k]
+			m.dMu.Data[k] = dz + m.dMu.Data[k]
 			// dz/dlogvar = eps * d(sigma)/dlogvar = eps * 0.5*sigma.
-			dLv.Data[k] = dz*eps.Data[k]*0.5*sigma.Data[k] + dLvKL.Data[k]
+			m.dLv.Data[k] = dz*m.eps.Data[k]*0.5*m.sigma.Data[k] + m.dLv.Data[k]
 		}
 	}
-	dh1 := m.muHead.Backward(dMu)
-	dh2 := m.lvHead.Backward(dLv)
-	dh := tensor.New(b, cfg.Hidden)
-	tensor.Add(dh, dh1, dh2)
-	m.trunk.Backward(dh)
+	dh1 := m.muHead.Backward(m.dMu)
+	dh2 := m.lvHead.Backward(m.dLv)
+	m.dh = tensor.Ensure(m.dh, b, cfg.Hidden)
+	tensor.Add(m.dh, dh1, dh2)
+	m.trunk.Backward(m.dh)
 
 	optim.Step()
 	return recon + kl
@@ -205,41 +246,29 @@ type TrainConfig struct {
 // DefaultTrainConfig mirrors the paper's 30 client-side CVAE epochs.
 func DefaultTrainConfig() TrainConfig { return TrainConfig{Epochs: 30, BatchSize: 32, LR: 1e-3} }
 
-// Dataset is the minimal view of a training set the CVAE needs; it is
-// satisfied by *dataset.Dataset.
-type Dataset interface {
-	Len() int
-	FlatBatch(indices []int) (*tensor.Tensor, []int)
-}
-
 // Train fits the CVAE on the examples of ds selected by indices using
-// Adam, returning the mean ELBO loss of the final epoch.
-func (m *CVAE) Train(ds Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
-	optim := opt.NewAdam(m.Params(), cfg.LR)
+// Adam, returning the mean ELBO loss of the final epoch. Each epoch
+// shuffles indices and walks them in BatchSize windows, gathering every
+// batch straight from ds's storage into the step's input rows.
+func (m *CVAE) Train(ds *dataset.Dataset, indices []int, cfg TrainConfig, r *rng.RNG) float64 {
+	if sz := ds.ImageSize(); sz != m.Cfg.Input {
+		panic(fmt.Sprintf("cvae: input width %d, want %d", sz, m.Cfg.Input))
+	}
+	optim := opt.NewAdam(m.params, cfg.LR)
+	order := make([]int, len(indices))
 	var epochLoss float64
 	for e := 0; e < cfg.Epochs; e++ {
+		copy(order, indices)
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
-		for _, batch := range batchIndices(indices, cfg.BatchSize, r) {
-			x, labels := ds.FlatBatch(batch)
-			epochLoss += m.Step(x, labels, optim, r) * float64(len(batch))
+		for off := 0; off < len(order); off += cfg.BatchSize {
+			batch := order[off:min(off+cfg.BatchSize, len(order))]
+			m.gather(ds, batch)
+			epochLoss += m.step(m.labels, optim, r) * float64(len(batch))
 		}
 		epochLoss /= float64(len(indices))
 	}
 	return epochLoss
-}
-
-func batchIndices(indices []int, size int, r *rng.RNG) [][]int {
-	shuffled := append([]int(nil), indices...)
-	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	var out [][]int
-	for off := 0; off < len(shuffled); off += size {
-		end := off + size
-		if end > len(shuffled) {
-			end = len(shuffled)
-		}
-		out = append(out, shuffled[off:end])
-	}
-	return out
 }
 
 // DecoderParams exports the decoder weights as a flat vector — the
@@ -325,8 +354,8 @@ func (d *Decoder) Generate(z *tensor.Tensor, labels []int) *tensor.Tensor {
 func (m *CVAE) Reconstruct(x *tensor.Tensor, labels []int) *tensor.Tensor {
 	b := x.Dim(0)
 	cfg := m.Cfg
-	input := m.oneHotConcat(x, labels)
-	h := m.trunk.Forward(input, false)
+	m.loadInput(x, labels)
+	h := m.trunk.Forward(m.input, false)
 	mu := m.muHead.Forward(h, false)
 	decIn := tensor.New(b, cfg.decIn())
 	for i := 0; i < b; i++ {

@@ -23,12 +23,11 @@ type VAE struct {
 
 // NewVAE constructs a VAE over in-dimensional inputs.
 func NewVAE(in, hidden, latent int, r *rng.RNG) *VAE {
+	first := nn.NewLinear(in, hidden, r)
+	first.InputGradOff = true // the input batch needs no gradient
 	return &VAE{
 		In: in, Hidden: hidden, Latent: latent,
-		trunk: nn.NewSequential(
-			nn.NewLinear(in, hidden, r),
-			nn.NewReLU(),
-		),
+		trunk:  nn.NewSequential(first, nn.NewReLU()),
 		muHead: nn.NewLinear(hidden, latent, r),
 		lvHead: nn.NewLinear(hidden, latent, r),
 		dec: nn.NewSequential(

@@ -272,7 +272,7 @@ func auditDeterminismUpdates(t *testing.T) ([]fl.Update, cvae.Config) {
 			}
 		case i > 0: // noised benign
 			noise := make([]float32, len(w))
-			rng.New(uint64(100 + i)).FillNormal(noise, 0, 0.01)
+			rng.New(uint64(100+i)).FillNormal(noise, 0, 0.01)
 			for j := range w {
 				w[j] += noise[j]
 			}

@@ -61,11 +61,17 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 // It returns the loss and the gradient w.r.t. p. This is the CVAE
 // reconstruction term for pixel data.
 func BinaryCrossEntropy(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	if !pred.SameShape(target) {
-		panic(fmt.Sprintf("loss: BCE shape mismatch %v vs %v", pred.Shape(), target.Shape()))
+	grad := tensor.New(pred.Shape()...)
+	return BinaryCrossEntropyInto(grad, pred, target), grad
+}
+
+// BinaryCrossEntropyInto is BinaryCrossEntropy writing the gradient into
+// grad, which must have pred's shape; it returns the loss.
+func BinaryCrossEntropyInto(grad, pred, target *tensor.Tensor) float64 {
+	if !pred.SameShape(target) || !pred.SameShape(grad) {
+		panic(fmt.Sprintf("loss: BCE shape mismatch %v vs %v (grad %v)", pred.Shape(), target.Shape(), grad.Shape()))
 	}
 	b := pred.Dim(0)
-	grad := tensor.New(pred.Shape()...)
 	const eps = 1e-7
 	var total float64
 	invB := float32(1 / float64(b))
@@ -80,7 +86,7 @@ func BinaryCrossEntropy(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 		total -= float64(t)*math.Log(pc) + float64(1-t)*math.Log(1-pc)
 		grad.Data[i] = float32((pc-float64(t))/(pc*(1-pc))) * invB
 	}
-	return total / float64(b), grad
+	return total / float64(b)
 }
 
 // MSE computes the mean (over batch rows) of the summed squared error and
@@ -110,12 +116,19 @@ func MSE(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 // It returns the loss and the gradients w.r.t. mu and logvar (already
 // scaled by 1/B). This is the CVAE regularization term.
 func GaussianKL(mu, logvar *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor) {
-	if !mu.SameShape(logvar) {
-		panic(fmt.Sprintf("loss: GaussianKL shape mismatch %v vs %v", mu.Shape(), logvar.Shape()))
-	}
-	b := mu.Dim(0)
 	dMu := tensor.New(mu.Shape()...)
 	dLogvar := tensor.New(logvar.Shape()...)
+	return GaussianKLInto(dMu, dLogvar, mu, logvar), dMu, dLogvar
+}
+
+// GaussianKLInto is GaussianKL writing the gradients into dMu and
+// dLogvar, which must have mu's shape; it returns the loss.
+func GaussianKLInto(dMu, dLogvar, mu, logvar *tensor.Tensor) float64 {
+	if !mu.SameShape(logvar) || !mu.SameShape(dMu) || !mu.SameShape(dLogvar) {
+		panic(fmt.Sprintf("loss: GaussianKL shape mismatch %v vs %v (grads %v, %v)",
+			mu.Shape(), logvar.Shape(), dMu.Shape(), dLogvar.Shape()))
+	}
+	b := mu.Dim(0)
 	var total float64
 	invB := float32(1 / float64(b))
 	for i := range mu.Data {
@@ -126,7 +139,7 @@ func GaussianKL(mu, logvar *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Ten
 		dMu.Data[i] = float32(m) * invB
 		dLogvar.Data[i] = float32(-0.5*(1-ev)) * invB
 	}
-	return total / float64(b), dMu, dLogvar
+	return total / float64(b)
 }
 
 // Accuracy returns the fraction of rows of logits (B, C) whose argmax

@@ -17,10 +17,19 @@ type Linear struct {
 	W, B    *tensor.Tensor
 	dW, dB  *tensor.Tensor
 
+	// InputGradOff, when set, makes Backward skip the input-gradient
+	// matmul and return nil. Set it on the first learnable layer of a
+	// network (e.g. right after a leading Flatten), whose input gradient
+	// nobody consumes; parameter gradients are unaffected, so training
+	// results are bit-identical with the flag on or off.
+	InputGradOff bool
+
 	x  *tensor.Tensor // retained input for backward
 	y  *tensor.Tensor // forward scratch
 	dx *tensor.Tensor // backward scratch
 	wT *tensor.Tensor // transposed-weight scratch for the vector kernels
+	xT *tensor.Tensor // (in, B) transposed-input scratch
+	yT *tensor.Tensor // (out, B) transposed-output scratch
 }
 
 // NewLinear constructs a fully connected layer with He-uniform
@@ -47,14 +56,25 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	b := x.Dim(0)
 	l.y = tensor.Ensure(l.y, b, l.Out)
-	if tensor.HasVectorKernels() {
+	switch {
+	case tensor.HasVectorKernels() && b%8 == 0 && b < l.Out:
+		// yᵀ = W @ xᵀ: the SIMD kernel runs over the batch lanes, and
+		// only the small x and yᵀ are transposed, not the in×out weight.
+		// Each element is still one ascending-in sum of the same
+		// products — bit-identical to the forms below.
+		l.xT = tensor.Ensure(l.xT, l.In, b)
+		l.yT = tensor.Ensure(l.yT, l.Out, b)
+		tensor.TransposeInto(l.xT, x)
+		tensor.MatMul(l.yT, l.W, l.xT)
+		tensor.TransposeInto(l.y, l.yT)
+	case tensor.HasVectorKernels():
 		// x @ Wᵀ as a plain product against a transposed-weight scratch:
 		// the O(in·out) transpose buys the SIMD kernel for the O(B·in·out)
 		// matmul. Both forms sum over in ascending — bit-identical.
 		l.wT = tensor.Ensure(l.wT, l.In, l.Out)
 		tensor.TransposeInto(l.wT, l.W)
 		tensor.MatMul(l.y, x, l.wT)
-	} else {
+	default:
 		tensor.MatMulT(l.y, x, l.W)
 	}
 	for i := 0; i < b; i++ {
@@ -67,7 +87,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward accumulates dW += gradᵀ @ x and dB += colsum(grad), returning
-// dx = grad @ W.
+// dx = grad @ W (nil when InputGradOff is set).
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)
 	if grad.Dim(1) != l.Out {
@@ -81,6 +101,9 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for j, g := range row {
 			l.dB.Data[j] += g
 		}
+	}
+	if l.InputGradOff {
+		return nil
 	}
 	l.dx = tensor.Ensure(l.dx, b, l.In)
 	tensor.MatMul(l.dx, grad, l.W)

@@ -38,7 +38,10 @@ type Layer interface {
 	// train toggles training-only behaviour (e.g. dropout).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient w.r.t. the layer output, accumulates
-	// parameter gradients, and returns the gradient w.r.t. the input.
+	// parameter gradients, and returns the gradient w.r.t. the input. A
+	// layer with its input gradient switched off (InputGradOff) returns
+	// nil, and Sequential.Backward stops there: the flag belongs only on
+	// a layer with no learnable layer below it.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []Param
@@ -65,9 +68,10 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward runs the stack in reverse, returning the gradient w.r.t. the
-// original input.
+// original input. It stops at the first layer that returns a nil input
+// gradient and returns nil.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	for i := len(s.Layers) - 1; i >= 0 && grad != nil; i-- {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad

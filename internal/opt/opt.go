@@ -100,7 +100,9 @@ func NewAdam(params []nn.Param, lr float64) *Adam {
 	return a
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update; the elementwise work runs in
+// tensor.AdamUpdate (vector lanes where available, bit-identical to the
+// scalar loop).
 func (a *Adam) Step() {
 	a.step++
 	b1c := 1 - math.Pow(a.beta1, float64(a.step))
@@ -109,16 +111,7 @@ func (a *Adam) Step() {
 	b1 := float32(a.beta1)
 	b2 := float32(a.beta2)
 	for i, p := range a.params {
-		g := p.Grad.Data
-		val := p.Value.Data
-		m := a.m[i].Data
-		v := a.v[i].Data
-		for j := range val {
-			gj := g[j]
-			m[j] = b1*m[j] + (1-b1)*gj
-			v[j] = b2*v[j] + (1-b2)*gj*gj
-			val[j] -= float32(lr * float64(m[j]) / (math.Sqrt(float64(v[j])) + a.eps))
-		}
+		tensor.AdamUpdate(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, b1, b2, lr, a.eps)
 	}
 }
 

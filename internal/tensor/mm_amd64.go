@@ -24,3 +24,10 @@ func mmRowAVX(dst, a, b *float32, astride, k, n, j8, acc int)
 
 // useAVX gates the vector row kernels; resolved once at startup.
 var useAVX = hasAVX()
+
+// adamAVX applies one Adam update to the first n8 parameters (n8 a
+// multiple of 8) with 8-wide AVX lanes; see adamScalar for the update
+// it reproduces bit for bit.
+//
+//go:noescape
+func adamAVX(val, grad, m, v *float32, n8 int, b1, c1, b2, c2 float32, lr, eps float64)

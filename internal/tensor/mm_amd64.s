@@ -151,3 +151,82 @@ store8:
 	VMOVUPS Y0, (AX)
 	ADDQ $32, R13
 	JMP  jloop
+
+// func adamAVX(val, grad, m, v *float32, n8 int, b1, c1, b2, c2 float32, lr, eps float64)
+//
+// One Adam update over [0, n8), n8 a multiple of 8, eight parameters per
+// pass:
+//
+//	m = b1*m + c1*g;  v = b2*v + (c2*g)*g            (float32)
+//	val -= float32(lr*float64(m) / (sqrt(float64(v)) + eps))
+//
+// Every operation rounds individually, in the scalar loop's order:
+// VMULPS/VADDPS for the moments (no FMA), then VCVTPS2PD, VMULPD,
+// VSQRTPD, VADDPD, VDIVPD and VCVTPD2PS on two 4-wide double halves,
+// all correctly rounded under the default MXCSR — bit-identical to
+// adamScalar.
+//
+// Register use:
+//	DI val   SI grad   DX m   CX v   AX byte offset   R8 n8*4
+//	Y8 b1  Y9 c1  Y10 b2  Y11 c2  Y12 lr  Y13 eps
+//	Y0 g  Y1 m  Y3 v  Y5-Y7 double halves and the step
+TEXT ·adamAVX(SB), NOSPLIT, $0-72
+	MOVQ val+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), DX
+	MOVQ v+24(FP), CX
+	MOVQ n8+32(FP), R8
+	VBROADCASTSS b1+40(FP), Y8
+	VBROADCASTSS c1+44(FP), Y9
+	VBROADCASTSS b2+48(FP), Y10
+	VBROADCASTSS c2+52(FP), Y11
+	VBROADCASTSD lr+56(FP), Y12
+	VBROADCASTSD eps+64(FP), Y13
+	SHLQ  $2, R8
+	XORQ  AX, AX
+	TESTQ R8, R8
+	JZ    adamdone
+
+adamloop:
+	VMOVUPS (SI)(AX*1), Y0
+	VMULPS  (DX)(AX*1), Y8, Y1
+	VMULPS  Y0, Y9, Y2
+	VADDPS  Y2, Y1, Y1
+	VMOVUPS Y1, (DX)(AX*1)
+	VMULPS  (CX)(AX*1), Y10, Y3
+	VMULPS  Y0, Y11, Y4
+	VMULPS  Y0, Y4, Y4
+	VADDPS  Y4, Y3, Y3
+	VMOVUPS Y3, (CX)(AX*1)
+
+	// Lanes 0-3.
+	VCVTPS2PD  X1, Y5
+	VMULPD     Y12, Y5, Y5
+	VCVTPS2PD  X3, Y6
+	VSQRTPD    Y6, Y6
+	VADDPD     Y13, Y6, Y6
+	VDIVPD     Y6, Y5, Y5
+	VCVTPD2PSY Y5, X5
+
+	// Lanes 4-7.
+	VEXTRACTF128 $1, Y1, X1
+	VEXTRACTF128 $1, Y3, X3
+	VCVTPS2PD    X1, Y6
+	VMULPD       Y12, Y6, Y6
+	VCVTPS2PD    X3, Y7
+	VSQRTPD      Y7, Y7
+	VADDPD       Y13, Y7, Y7
+	VDIVPD       Y7, Y6, Y6
+	VCVTPD2PSY   Y6, X6
+
+	VINSERTF128 $1, X6, Y5, Y5
+	VMOVUPS     (DI)(AX*1), Y7
+	VSUBPS      Y5, Y7, Y7
+	VMOVUPS     Y7, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R8
+	JLT  adamloop
+
+adamdone:
+	VZEROUPPER
+	RET
